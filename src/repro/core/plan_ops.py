@@ -7,10 +7,10 @@ upstream via ``AddId``), and the nest operators Γ⊎ (``NestBag``) and
 cast of the Γ operators for the cogroup-fused form; ``Repartition``
 is the label repartitioning of ``BagToDict`` (§4.6/Fig. 6).
 
-Plans are immutable trees; the Spark backends interpret them
-(``spark_backend.dataset`` / ``spark_backend.rdd_backend``) — the
-moral equivalent of the paper's code generation stage (§3.2), except
-we interpret rather than emit source text.
+Plans are immutable trees.  The Dataset backend
+(``spark_backend.dataset``) is the paper's code generation stage
+(§3.2): it emits each plan as one Spark SQL statement.  The RDD
+backend (``spark_backend.rdd_backend``) interprets plans over RDDs.
 """
 from __future__ import annotations
 

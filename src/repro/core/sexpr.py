@@ -5,7 +5,7 @@ A scalar expression (``SExpr``) references bound variables' attributes
 ``RelOp`` / ``BoolOp`` operators plus a scalar conditional.  It compiles
 to three targets:
 
-* a PySpark ``Column`` (Dataset backend; see :func:`to_spark`),
+* a Spark SQL expression (Dataset backend; see :func:`to_sql`),
 * a Python callable over ``{colname: value}`` rows (RDD backend),
 * a Python callable over ``{var: {attr: value}}`` environments
   (NRC interpreter).
@@ -16,12 +16,12 @@ after joins/unnests.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from pyspark.sql import Column
-from pyspark.sql import functions as F
+from pyspark.sql import Row
 
 
 def cname(var: str, attr: str) -> str:
@@ -123,33 +123,71 @@ _PY_OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def to_spark(e: SExpr) -> Column:
-    """Compile an SExpr to a PySpark Column over ``var__attr`` columns."""
+_SQL_OPS = {
+    "+": "+", "-": "-", "*": "*", "/": "/",
+    "==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+    "&&": "AND", "||": "OR",
+}
+_INT32 = range(-(1 << 31), 1 << 31)
+
+
+def quote(name: str) -> str:
+    """A column, field or view name as a back-quoted SQL identifier."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+def sql_literal(v: Any) -> str:
+    """A Python scalar, or a ``Row`` as a struct, as a Spark SQL literal.
+
+    Scalars get the type ``F.lit`` gives them: a bare ``1.5`` would be
+    DECIMAL in SQL, so floats carry the DOUBLE suffix, and integers
+    outside the int32 range are BIGINT.
+    """
+    if v is None:
+        return "NULL"
+    if isinstance(v, bool):
+        return "TRUE" if v else "FALSE"
+    if isinstance(v, int):
+        return f"{v}" if v in _INT32 else f"{v}L"
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return f"{v!r}D"
+        return f"CAST('{v}' AS DOUBLE)"
+    if isinstance(v, str):
+        return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    if isinstance(v, Row):  # e.g. a composite label as a heavy key
+        fields = ", ".join(
+            f"{sql_literal(n)}, {sql_literal(x)}" for n, x in v.asDict().items()
+        )
+        return f"named_struct({fields})"
+    raise TypeError(f"no SQL literal for {v!r}")
+
+
+def to_sql(e: SExpr) -> str:
+    """Compile an SExpr to a Spark SQL expression over ``var__attr`` columns."""
     if isinstance(e, Col):
-        return F.col(e.colname)
+        return quote(e.colname)
     if isinstance(e, RawCol):
-        return F.col(e.name)
+        return quote(e.name)
     if isinstance(e, Lit):
-        return F.lit(e.value)
+        lit = sql_literal(e.value)
+        return f"({lit})" if lit.startswith("-") else lit
     if isinstance(e, BinOp):
-        l, r = to_spark(e.left), to_spark(e.right)
-        return {
-            "+": l + r, "-": l - r, "*": l * r, "/": l / r,
-            "==": l == r, "!=": l != r, "<": l < r, "<=": l <= r,
-            ">": l > r, ">=": l >= r, "&&": l & r, "||": l | r,
-        }[e.op]
+        return f"({to_sql(e.left)} {_SQL_OPS[e.op]} {to_sql(e.right)})"
     if isinstance(e, Not):
-        return ~to_spark(e.expr)
+        return f"(NOT {to_sql(e.expr)})"
     if isinstance(e, IfScalar):
-        return F.when(to_spark(e.cond), to_spark(e.then_)).otherwise(
-            to_spark(e.else_)
+        return (
+            f"CASE WHEN {to_sql(e.cond)} THEN {to_sql(e.then_)} "
+            f"ELSE {to_sql(e.else_)} END"
         )
     if isinstance(e, MkStruct):
-        return F.struct(*[to_spark(x).alias(n) for n, x in e.items])
+        args = ", ".join(f"{sql_literal(n)}, {to_sql(x)}" for n, x in e.items)
+        return f"named_struct({args})"
     if isinstance(e, GetField):
-        return to_spark(e.expr).getField(e.name)
+        return f"({to_sql(e.expr)}).{quote(e.name)}"
     if isinstance(e, IsNotNull):
-        return to_spark(e.expr).isNotNull()
+        return f"({to_sql(e.expr)} IS NOT NULL)"
     raise TypeError(f"unknown SExpr {e!r}")
 
 

@@ -5,16 +5,17 @@
   tuples of some partition carry it.  The threshold bounds the number
   of heavy keys (≤ 100/2.5 = 40 per partition's sample), which keeps
   broadcasting them cheap.
-* :class:`SkewTriple` — (light bag, heavy bag, heavy-key set).
-* :func:`skew_join` — light⋈light with the standard shuffle join;
-  heavy⋈broadcast(heavy side of the smaller relation), so values of
-  heavy keys in the big relation stay where they are.
-* :func:`skew_bag_to_dict` — BagToDict: repartition only the light
-  labels; heavy labels keep their current distribution.
+* :class:`SkewTriple` — (light bag, heavy bag, heavy-key set), each bag
+  a Spark SQL query text.
+* :func:`split` — split a bag into a triple on known heavy keys.
 
-Nest operators merge the two components and run the standard
-implementation, returning a triple with an empty heavy part
-(Fig. 6, Γ row).
+The Dataset backend (:mod:`repro.spark_backend.dataset`) emits the
+Fig. 6 operators over triples: the skew join runs light⋈light with the
+standard shuffle join and heavy⋈broadcast(heavy side of the smaller
+relation), so values of heavy keys in the big relation stay where they
+are; BagToDict repartitions only the light labels; nest operators
+merge the two components and run the standard implementation,
+returning a triple with an empty heavy part.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from typing import Optional
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from .sexpr import quote, sql_literal
+
 DEFAULT_THRESHOLD = 0.025
 DEFAULT_SAMPLE_FRACTION = 0.1
 MIN_SAMPLE_PER_PARTITION = 20
@@ -31,16 +34,19 @@ MIN_SAMPLE_PER_PARTITION = 20
 
 @dataclass
 class SkewTriple:
-    """Light component, heavy component (may be None=empty), heavy keys."""
+    """Light query, heavy query (None = empty), heavy keys (None = unknown).
 
-    light: DataFrame
-    heavy: Optional[DataFrame]
-    keys: Optional[list]  # heavy key values; None = unknown
+    Both queries have the same output columns in the same order.
+    """
 
-    def union(self) -> DataFrame:
+    light: str
+    heavy: Optional[str]
+    keys: Optional[list]
+
+    def union(self) -> str:
         if self.heavy is None:
             return self.light
-        return self.light.unionByName(self.heavy)
+        return f"({self.light})\nUNION ALL\n({self.heavy})"
 
 
 def heavy_keys(
@@ -78,49 +84,17 @@ def heavy_keys(
     return [r["__k"] for r in rows]
 
 
-def split(
-    df: DataFrame, key_col: str, keys: Optional[list]
-) -> SkewTriple:
-    """Split a bag into a skew-triple on known heavy keys."""
-    if not keys:
-        return SkewTriple(light=df, heavy=None, keys=keys or [])
-    light = df.where(~F.col(key_col).isin(keys) | F.col(key_col).isNull())
-    heavy = df.where(F.col(key_col).isin(keys))
-    return SkewTriple(light=light, heavy=heavy, keys=keys)
+def split(query: str, key_col: str, keys: Optional[list]) -> SkewTriple:
+    """Split the bag ``query`` into a skew-triple on known heavy keys.
 
-
-def skew_join(
-    x: SkewTriple,
-    y: DataFrame,
-    x_key: str,
-    y_key: str,
-    cond,
-    how: str,
-) -> SkewTriple:
-    """Fig. 6 skew-aware join: X (triple) ⋈ Y on cond.
-
-    Recomputes heavy keys of X on ``x_key`` when unknown, splits Y on
-    the same key set, joins light parts with the standard shuffle
-    join and heavy parts with a broadcast of Y's heavy part.
+    Rows with a NULL key are light.
     """
-    hk = x.keys
-    if hk is None:
-        hk = heavy_keys(x.union(), x_key)
-        x = split(x.union(), x_key, hk)
-    if not hk:
-        return SkewTriple(light=x.union().join(y, cond, how), heavy=None, keys=[])
-    y_light = y.where(~F.col(y_key).isin(hk) | F.col(y_key).isNull())
-    y_heavy = y.where(F.col(y_key).isin(hk))
-    light = x.light.join(y_light, cond, how)
-    heavy = (x.heavy if x.heavy is not None else x.light.limit(0)).join(
-        F.broadcast(y_heavy), cond, how
+    if not keys:
+        return SkewTriple(light=query, heavy=None, keys=keys or [])
+    k = quote(key_col)
+    is_heavy = f"{k} IN ({', '.join(sql_literal(v) for v in keys)})"
+    return SkewTriple(
+        light=f"SELECT * FROM ({query})\nWHERE (NOT {is_heavy}) OR ({k} IS NULL)",
+        heavy=f"SELECT * FROM ({query})\nWHERE {is_heavy}",
+        keys=keys,
     )
-    return SkewTriple(light=light, heavy=heavy, keys=hk)
-
-
-def skew_bag_to_dict(df: DataFrame, label_col: str = "label") -> SkewTriple:
-    """Skew-aware BagToDict: repartition light labels only (Fig. 6)."""
-    hk = heavy_keys(df, label_col)
-    t = split(df, label_col, hk)
-    light = t.light.repartition(label_col)
-    return SkewTriple(light=light, heavy=t.heavy, keys=hk)

@@ -1,5 +1,6 @@
-"""Scalar expression AST: Python evaluation, Spark compilation, columns."""
+"""Scalar expression AST: Python evaluation, Spark SQL compilation, columns."""
 import pytest
+from pyspark.sql import types as T
 
 from repro.core.sexpr import (
     BinOp,
@@ -14,7 +15,7 @@ from repro.core.sexpr import (
     cname,
     columns_of,
     eval_row,
-    to_spark,
+    to_sql,
 )
 
 ROW = {"x__a": 3, "x__b": 2.0, "y__c": 7, "raw": "s", "n": None}
@@ -111,20 +112,54 @@ def test_spark_eval_matches_python(spark, expr, expected):
     df = spark.createDataFrame(
         [{k: v for k, v in ROW.items() if v is not None}]
     )
-    got = df.select(to_spark(expr).alias("v")).collect()[0]["v"]
+    got = df.selectExpr(f"{to_sql(expr)} AS v").collect()[0]["v"]
     assert got == expected
 
 
 def test_spark_struct_and_getfield(spark):
     df = spark.createDataFrame([{"x__a": 3, "y__c": 7}])
     e = GetField(MkStruct((("p", Col("x", "a")), ("q", Col("y", "c")))), "q")
-    assert df.select(to_spark(e).alias("v")).collect()[0]["v"] == 7
+    assert df.selectExpr(f"{to_sql(e)} AS v").collect()[0]["v"] == 7
 
 
 def test_spark_is_not_null(spark):
     df = spark.createDataFrame([{"a": 1, "b": None}], "a int, b int")
     e = IsNotNull(RawCol("b"))
-    assert df.select(to_spark(e).alias("v")).collect()[0]["v"] is False
+    assert df.selectExpr(f"{to_sql(e)} AS v").collect()[0]["v"] is False
+
+
+def _typed(spark, e):
+    """(Spark type, value) of ``e`` evaluated by Spark SQL."""
+    df = spark.range(1).selectExpr(f"{to_sql(e)} AS v")
+    return df.schema["v"].dataType, df.collect()[0]["v"]
+
+
+def test_sql_real_literal_is_double(spark):
+    for v in (1.5, -2.5, 1e-05, 1e20):
+        dt, got = _typed(spark, Lit(v))
+        assert isinstance(dt, T.DoubleType) and got == v
+    dt, got = _typed(spark, BinOp("+", Lit(1), Lit(-0.5)))
+    assert isinstance(dt, T.DoubleType) and got == 0.5
+
+
+def test_sql_big_int_literal_is_long(spark):
+    dt, got = _typed(spark, Lit(1 << 31))
+    assert isinstance(dt, T.LongType) and got == 1 << 31
+    dt, got = _typed(spark, Lit((1 << 31) - 1))
+    assert isinstance(dt, T.IntegerType) and got == (1 << 31) - 1
+
+
+def test_sql_string_literal_escaped(spark):
+    s = "it's a \\path\\ -- not a comment"
+    dt, got = _typed(spark, Lit(s))
+    assert isinstance(dt, T.StringType) and got == s
+
+
+def test_sql_null_literal_as_if_branch(spark):
+    e = IfScalar(Lit(True), Lit(None), Lit(2))
+    dt, got = _typed(spark, e)
+    assert isinstance(dt, T.IntegerType) and got is None
+    assert _typed(spark, IfScalar(Lit(False), Lit(None), Lit(2)))[1] == 2
 
 
 def test_unknown_sexpr_raises():

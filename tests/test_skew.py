@@ -5,9 +5,12 @@ from pyspark.sql import functions as F
 from repro.bench import tpch_queries as TQ
 from repro.core import api
 from repro.core import nrc_interp as I
+from repro.core import plan_ops as P
 from repro.core import skew as SK
+from repro.core.sexpr import RawCol
 from repro.core.unnest import compile_standard
 from repro.spark_backend import dataset as DS
+from repro.spark_backend.catalog import Catalog
 
 from tests.utils import check, env_of, rows_of
 
@@ -58,35 +61,101 @@ def test_heavy_keys_empty_on_uniform_data(spark):
     assert len(hk) <= 5
 
 
-def test_split_partitions_rows(skcat):
+@pytest.fixture
+def lineitem_query(skcat):
+    """Lineitem bound as a temporary view, as a query text."""
     li = skcat["cat"].get("Lineitem")
-    t = SK.split(li, "l_orderkey", [1, 2])
-    assert t.light.count() + t.heavy.count() == li.count()
-    assert t.heavy.where(~F.col("l_orderkey").isin([1, 2])).count() == 0
+    li.createOrReplaceTempView("skew_test_lineitem")
+    yield "SELECT * FROM skew_test_lineitem"
+    # The session catalog's drop leaves the cached Lineitem cached.
+    li.sparkSession._jsparkSession.sessionState().catalog().dropTempView(
+        "skew_test_lineitem"
+    )
 
 
-def test_split_no_keys_is_all_light(skcat):
+def test_split_partitions_rows(spark, skcat, lineitem_query):
     li = skcat["cat"].get("Lineitem")
-    t = SK.split(li, "l_orderkey", [])
-    assert t.heavy is None and t.light.count() == li.count()
+    t = SK.split(lineitem_query, "l_orderkey", [1, 2])
+    light, heavy = spark.sql(t.light), spark.sql(t.heavy)
+    assert light.count() + heavy.count() == li.count()
+    assert heavy.where(~F.col("l_orderkey").isin([1, 2])).count() == 0
 
 
-def test_skew_join_matches_plain_join(skcat):
+def test_split_no_keys_is_all_light(spark, skcat, lineitem_query):
     li = skcat["cat"].get("Lineitem")
-    part = skcat["cat"].get("Part")
-    cond = li["l_partkey"] == part["p_partkey"]
-    plain = li.join(part, cond, "inner").count()
-    t = SK.split(li, "l_partkey", SK.heavy_keys(li, "l_partkey", sample_fraction=0.5))
-    sk = SK.skew_join(t, part, "l_partkey", "p_partkey", cond, "inner")
-    assert sk.union().count() == plain
-    assert sk.keys  # heavy keys propagate through the join
+    t = SK.split(lineitem_query, "l_orderkey", [])
+    assert t.heavy is None and spark.sql(t.light).count() == li.count()
+
+
+def _count_heavy_key_calls(monkeypatch) -> list:
+    calls: list = []
+    sample = SK.heavy_keys
+
+    def counted(df, key_col, *args, **kwargs):
+        keys = sample(df, key_col, *args, **kwargs)
+        calls.append(keys)
+        return keys
+
+    monkeypatch.setattr(SK, "heavy_keys", counted)
+    return calls
+
+
+def test_skew_join_matches_plain_join(skcat, monkeypatch):
+    cat = skcat["cat"]
+    join = P.Join(
+        P.ScanRaw("Lineitem"), P.ScanRaw("Part"),
+        ((RawCol("l_partkey"), RawCol("p_partkey")),), "inner",
+    )
+    plain = DS.run(join, cat).count()
+    calls = _count_heavy_key_calls(monkeypatch)
+    assert DS.run(join, cat, skew=True).count() == plain
+    assert len(calls) == 1 and calls[0]  # heavy keys found and split on
+    # heavy keys propagate through the join: a second join on the same
+    # key reuses them instead of sampling again
+    calls.clear()
+    twice = P.Join(
+        join, P.Project(P.ScanRaw("Part"), (("p2", RawCol("p_partkey")),)),
+        ((RawCol("l_partkey"), RawCol("p2")),), "inner",
+    )
+    assert DS.run(twice, cat, skew=True).count() == plain
+    assert len(calls) == 1
 
 
 def test_skew_bag_to_dict_preserves_rows(skcat):
-    d = skcat["cat"].get(f"{skcat['input']}__dict__corders__oparts")
-    t = SK.skew_bag_to_dict(d, "label")
-    total = t.light.count() + (t.heavy.count() if t.heavy is not None else 0)
-    assert total == d.count()
+    name = f"{skcat['input']}__dict__corders__oparts"
+    d = skcat["cat"].get(name)
+    plan = P.Repartition(P.ScanRaw(name), ("label",))
+    assert DS.run(plan, skcat["cat"], skew=True).count() == d.count()
+
+
+def test_skew_bag_to_dict_struct_labels(spark):
+    """Composite (struct-valued) labels can be heavy keys too."""
+    rows = [((1, "x") if i % 10 else (i, "y"), i) for i in range(2000)]
+    d = spark.createDataFrame(rows, "label struct<k:int, s:string>, v int")
+    cat = Catalog().add("D", d.coalesce(1))
+    plan = P.Repartition(P.ScanRaw("D"), ("label",))
+    assert "UNION ALL" in DS.explain_sql(plan, cat, skew=True)  # split
+    assert DS.run(plan, cat, skew=True).count() == len(rows)
+
+
+def test_add_id_unique_across_skew_parts(skcat):
+    """AddId over a split input: the heavy part's ids are offset, so
+    they never meet the light part's (both start at partition 0)."""
+    cat = skcat["cat"]
+    plan = P.AddId(
+        P.Join(
+            P.ScanRaw("Lineitem"), P.ScanRaw("Part"),
+            ((RawCol("l_partkey"), RawCol("p_partkey")),), "inner",
+        ),
+        "the_id",
+    )
+    assert "UNION ALL" in DS.explain_sql(plan, cat, skew=True)  # split
+    got = (
+        DS.run(plan, cat, skew=True)
+        .agg(F.count("*").alias("n"), F.countDistinct("the_id").alias("ids"))
+        .first()
+    )
+    assert got["n"] > 0 and got["ids"] == got["n"]
 
 
 def test_standard_skew_route_correct(skcat):
